@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import random
 
@@ -295,6 +296,42 @@ class TestAttributeRoundtrip:
                 attrs.get("feat", v * 7)
             )
             assert loaded.get("label", v * 7)[0] == v % 5
+
+    def test_snapshot_bytes_match_the_per_row_layout(self):
+        """The columnar store writes the same bytes as the dict-per-field
+        store it replaced: ids sorted ascending as uint64, then the rows
+        in that order (dense, sparse and typed ids, after deletes and
+        re-puts).  The digest was taken from the dict-per-field store."""
+        attrs = AttributeStore()
+        attrs.register("feat", 3)
+        attrs.register("label", 1, np.dtype(np.int64))
+        attrs.register("typed", 2, np.dtype(np.float64))
+        rng = np.random.default_rng(12)
+        attrs.put_many("feat", list(range(40, 0, -1)), rng.normal(size=(40, 3)))
+        for v in (5, 17, 33):
+            attrs.delete("feat", v)
+        attrs.put("feat", 17, [1.5, -2.5, 0.25])
+        attrs.put("feat", 10**9, [7.0, 8.0, 9.0])
+        for v in range(0, 50, 7):
+            attrs.put("label", v, [v % 3])
+        attrs.put_many(
+            "typed",
+            [(k << 40) + k for k in range(1, 6)],
+            np.arange(10, dtype=np.float64).reshape(5, 2),
+        )
+        buf = io.BytesIO()
+        assert save_attributes(attrs, buf) == 1109
+        assert hashlib.sha256(buf.getvalue()).hexdigest() == (
+            "71bac34d22d28383a270f3190b2f5ad841f91e3d0344767fe262a29e6e06a167"
+        )
+        buf.seek(0)
+        loaded = load_attributes(buf)
+        for name in ("feat", "label", "typed"):
+            ids = attrs.vertices(name)
+            assert loaded.vertices(name).tolist() == ids.tolist()
+            np.testing.assert_array_equal(
+                loaded.gather(name, ids), attrs.gather(name, ids)
+            )
 
     def test_empty(self):
         buf = io.BytesIO()
