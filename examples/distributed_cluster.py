@@ -74,7 +74,7 @@ def main() -> None:
 
     # --- cross-shard batch sampling ------------------------------------------
     sources = [s for _, s in zip(range(64), cluster.client.sources())]
-    rows = cluster.client.sample_neighbors_batch(sources, k=10, rng=rng)
+    rows = cluster.client.sample_neighbors_many(sources, k=10, rng=rng)
     fan_in = sum(len(r) for r in rows)
     print(f"\nsampled 10 neighbors for {len(sources)} vertices across "
           f"{len(cluster)} shards ({fan_in} draws, order-preserving merge)")

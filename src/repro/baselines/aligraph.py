@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.snapshot import RNGLike, coerce_scalar_rng
-from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
+from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI, check_fanout
 from repro.errors import EmptyStructureError
 
 __all__ = ["AliasTable", "AliGraphStore"]
@@ -229,26 +229,12 @@ class AliGraphStore(GraphStoreAPI):
         rng: RNGLike = None,
         etype: int = DEFAULT_ETYPE,
     ) -> List[int]:
+        check_fanout(k)
         adj = self._get(src, etype)
         if adj is None or not adj.ids:
             return []
         rng = coerce_scalar_rng(rng)
         return [adj.ids[adj.alias.sample(rng)] for _ in range(k)]
-
-    def sample_neighbors_uniform(
-        self,
-        src: int,
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> List[int]:
-        """Uniform draw straight off the adjacency array."""
-        adj = self._get(src, etype)
-        if adj is None or not adj.ids:
-            return []
-        rng = coerce_scalar_rng(rng) or random
-        n = len(adj.ids)
-        return [adj.ids[rng.randrange(n)] for _ in range(k)]
 
     # Batched sampling stays the generic :class:`GraphStoreAPI` loop:
     # AliGraph's alias tables answer one O(1) draw at a time and have no

@@ -37,7 +37,7 @@ from typing import Iterator, List, Optional, Tuple
 from repro.core.cstable import CSTable
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.snapshot import RNGLike, coerce_scalar_rng
-from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
+from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI, check_fanout
 from repro.errors import ConfigurationError, EmptyStructureError
 from repro.storage.kvstore import BlockKVStore
 
@@ -283,6 +283,7 @@ class PlatoGLStore(GraphStoreAPI):
         rng: RNGLike = None,
         etype: int = DEFAULT_ETYPE,
     ) -> List[int]:
+        check_fanout(k)
         head = self._head(src, etype)
         if head is None or head.degree == 0:
             return []
@@ -298,24 +299,7 @@ class PlatoGLStore(GraphStoreAPI):
             out.append(self._id_at(src, etype, slot))
         return out
 
-    def sample_neighbors_uniform(
-        self,
-        src: int,
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> List[int]:
-        """Uniform draw over the neighbor sequence (slot = randrange)."""
-        head = self._head(src, etype)
-        if head is None or head.degree == 0:
-            return []
-        rng = coerce_scalar_rng(rng) or random
-        return [
-            self._id_at(src, etype, rng.randrange(head.degree))
-            for _ in range(k)
-        ]
-
-    # The batched forms intentionally stay the generic per-source loop of
+    # The batched form intentionally stays the generic per-source loop of
     # :class:`GraphStoreAPI` — PlatoGL has no read-optimized cache; the
     # scalar/batched gap *is* the comparison the batched-sampling
     # benchmark measures against the samtree store's snapshot path.

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.snapshot import RNGLike, coerce_scalar_rng
-from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
+from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI, check_fanout
 
 __all__ = ["StaticCSRStore"]
 
@@ -222,6 +222,7 @@ class StaticCSRStore(GraphStoreAPI):
         rng: RNGLike = None,
         etype: int = DEFAULT_ETYPE,
     ) -> List[int]:
+        check_fanout(k)
         self._ensure_built()
         rel = self._csr.get(etype)
         if rel is None:
@@ -239,25 +240,6 @@ class StaticCSRStore(GraphStoreAPI):
         slots = np.searchsorted(rel.cumweights[lo:hi], draws, side="right")
         slots = np.minimum(slots, hi - lo - 1)
         return [int(rel.indices[lo + s]) for s in slots]
-
-    def sample_neighbors_uniform(
-        self,
-        src: int,
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> List[int]:
-        """Uniform draw off the CSR row (no weight lookup needed)."""
-        self._ensure_built()
-        rel = self._csr.get(etype)
-        if rel is None:
-            return []
-        row = rel.row(src)
-        if row is None or row[0] == row[1]:
-            return []
-        lo, hi = row
-        rng = coerce_scalar_rng(rng) or random
-        return [int(rel.indices[lo + rng.randrange(hi - lo)]) for _ in range(k)]
 
     # Batched sampling uses the generic :class:`GraphStoreAPI` loop — the
     # static regime's cost lives in `_ensure_built`, which the first call

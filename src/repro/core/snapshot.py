@@ -249,67 +249,37 @@ class TreeSnapshot:
     # -- vectorized draws -------------------------------------------------
     def sample(self, k: int, gen: np.random.Generator) -> np.ndarray:
         """``k`` weighted draws with replacement (shape ``(k,)``)."""
-        return self.sample_matrix(1, k, gen).reshape(-1)
+        if k < 0:
+            raise ConfigurationError(f"sample count must be >= 0, got {k}")
+        return self.sample_from_uniforms(gen.random(k))
 
-    def sample_matrix(
-        self, rows: int, k: int, gen: np.random.Generator
+    def sample_from_uniforms(
+        self, uniforms: np.ndarray, uniform: bool = False
     ) -> np.ndarray:
-        """``rows × k`` weighted draws with replacement.
-
-        One vectorized uniform block + one ``searchsorted`` for the whole
-        matrix — the batched equivalent of ``rows * k`` root→leaf
-        descents.
-        """
-        if k < 0 or rows < 0:
-            raise ConfigurationError(
-                f"sample shape must be non-negative, got ({rows}, {k})"
-            )
-        return self.sample_from_uniforms(gen.random((rows, k)))
-
-    def sample_from_uniforms(self, uniforms: np.ndarray) -> np.ndarray:
-        """Weighted draws from pre-generated uniforms in ``[0, 1)``.
+        """Draws from pre-generated uniforms in ``[0, 1)``, same shape.
 
         The batched store read path generates *one* uniform block for a
         whole frontier and hands each snapshot its slice — hundreds of
         per-source ``Generator.random`` calls collapse into one.  Inverse
         transform sampling: each uniform scales to a mass in
         ``[0, total)`` and maps to the smallest index whose cumulative
-        weight strictly exceeds it.
+        weight strictly exceeds it.  With ``uniform=True`` each uniform
+        scales to a position in ``[0, degree)`` instead, ignoring the
+        weights.
         """
         ids = self.neighbor_ids
         n = ids.size
         if n == 0:
             raise EmptyStructureError("cannot sample from an empty snapshot")
         total = self.total_weight
-        if total <= 0.0:
-            # Degenerate all-zero weights: fall back to uniform.
+        if uniform or total <= 0.0:
+            # Degenerate all-zero weights fall back to uniform too.
             idx = (uniforms * n).astype(np.int64)
         else:
             idx = self.cum_weights.searchsorted(uniforms * total, side="right")
-            # Guard against float round-up at the top of the mass range.
-            np.minimum(idx, n - 1, out=idx)
+        # Guard against float round-up at the top of the range.
+        np.minimum(idx, n - 1, out=idx)
         return ids[idx]
-
-    def sample_uniform_matrix(
-        self, rows: int, k: int, gen: np.random.Generator
-    ) -> np.ndarray:
-        """``rows × k`` *uniform* draws with replacement."""
-        if k < 0 or rows < 0:
-            raise ConfigurationError(
-                f"sample shape must be non-negative, got ({rows}, {k})"
-            )
-        n = self.degree
-        if n == 0:
-            raise EmptyStructureError("cannot sample from an empty snapshot")
-        return self.neighbor_ids[gen.integers(0, n, size=(rows, k))]
-
-    def sample_uniform_from_uniforms(self, uniforms: np.ndarray) -> np.ndarray:
-        """Uniform draws from pre-generated uniforms in ``[0, 1)``."""
-        ids = self.neighbor_ids
-        n = ids.size
-        if n == 0:
-            raise EmptyStructureError("cannot sample from an empty snapshot")
-        return ids[(uniforms * n).astype(np.int64)]
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from repro.core.snapshot import (
     coerce_scalar_rng,
     resolve_rngs,
 )
-from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI
+from repro.core.types import DEFAULT_ETYPE, GraphStoreAPI, check_fanout
 from repro.errors import ConfigurationError
 from repro.storage.cuckoo import CuckooHashMap
 
@@ -614,24 +614,11 @@ class DynamicGraphStore(GraphStoreAPI):
         rng: RNGLike = None,
         etype: int = DEFAULT_ETYPE,
     ) -> List[int]:
+        check_fanout(k)
         tree = self._tree(src, etype)
         if tree is None or not tree:
             return []
         return tree.sample_many(k, coerce_scalar_rng(rng))
-
-    def sample_neighbors_uniform(
-        self,
-        src: int,
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> List[int]:
-        """Unweighted variant (each neighbor equally likely)."""
-        tree = self._tree(src, etype)
-        if tree is None or not tree:
-            return []
-        rng = coerce_scalar_rng(rng)
-        return [tree.sample_uniform(rng) for _ in range(k)]
 
     def _group_positions(
         self, srcs: Sequence[int]
@@ -654,6 +641,8 @@ class DynamicGraphStore(GraphStoreAPI):
         k: int,
         rng: RNGLike = None,
         etype: int = DEFAULT_ETYPE,
+        *,
+        uniform: bool = False,
     ) -> List[Sequence[int]]:
         """Vectorized frontier sampling (the tentpole read path).
 
@@ -662,20 +651,27 @@ class DynamicGraphStore(GraphStoreAPI):
         with one ``Generator.random`` block + one ``searchsorted`` for
         *all* of that source's draws in the batch, and cold or
         just-mutated trees fall back to the exact ITS/FTS descent —
-        distributionally identical by construction.
+        distributionally identical by construction.  ``uniform=True``
+        draws every neighbor with equal probability through the same
+        path (the count descent on the exact fallback).
 
         When the relation has a fresh frozen shard (:meth:`freeze`),
         the whole frontier is answered by one columnar CSC kernel
         instead — same distribution, no per-distinct-source loop.
         """
+        check_fanout(k)
         if self._frozen:
             shard = self._frozen_for(etype)
             if shard is not None:
-                return self._frozen_sample_many(
-                    shard, srcs, k, rng, uniform=False
-                )
+                return self._frozen_sample_many(shard, srcs, k, rng, uniform)
         srcs = list(srcs)
         scalar_rng, gen = resolve_rngs(rng)
+        if uniform:
+            def exact(tree):
+                return [tree.sample_uniform(scalar_rng) for _ in range(k)]
+        else:
+            def exact(tree):
+                return tree.sample_many(k, scalar_rng)
         cache = self.snapshot_cache
         out: List[Sequence[int]] = [()] * len(srcs)
         # One uniform block for the whole frontier: every snapshot-served
@@ -694,63 +690,19 @@ class DynamicGraphStore(GraphStoreAPI):
                         out[i] = []
                     continue
                 snapshot = cache.get(key, tree) if cache is not None else None
-            if snapshot is not None:
-                if len(positions) == 1:
-                    # Basic indexing: a view, no row-gather copy.
-                    i = positions[0]
-                    out[i] = snapshot.sample_from_uniforms(uniforms[i])
-                else:
-                    rows = snapshot.sample_from_uniforms(uniforms[positions])
-                    for i, row in zip(positions, rows):
-                        out[i] = row
-            else:
-                for i in positions:
-                    out[i] = tree.sample_many(k, scalar_rng)
-        return out
-
-    def sample_neighbors_uniform_many(
-        self,
-        srcs: Sequence[int],
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> List[Sequence[int]]:
-        """Batched uniform sampling through the same snapshot read path
-        (or the frozen CSC kernel when the relation is frozen)."""
-        if self._frozen:
-            shard = self._frozen_for(etype)
-            if shard is not None:
-                return self._frozen_sample_many(
-                    shard, srcs, k, rng, uniform=True
-                )
-        srcs = list(srcs)
-        scalar_rng, gen = resolve_rngs(rng)
-        cache = self.snapshot_cache
-        out: List[Sequence[int]] = [()] * len(srcs)
-        uniforms = gen.random((len(srcs), k)) if cache is not None else None
-        for src, positions in self._group_positions(srcs).items():
-            key = (etype, src)
-            snapshot = cache.peek(key) if cache is not None else None
             if snapshot is None:
-                tree = self._tree(src, etype)
-                if tree is None or not tree:
-                    for i in positions:
-                        out[i] = []
-                    continue
-                snapshot = cache.get(key, tree) if cache is not None else None
-            if snapshot is not None:
-                if len(positions) == 1:
-                    i = positions[0]
-                    out[i] = snapshot.sample_uniform_from_uniforms(uniforms[i])
-                else:
-                    rows = snapshot.sample_uniform_from_uniforms(
-                        uniforms[positions]
-                    )
-                    for i, row in zip(positions, rows):
-                        out[i] = row
-            else:
                 for i in positions:
-                    out[i] = [tree.sample_uniform(scalar_rng) for _ in range(k)]
+                    out[i] = exact(tree)
+            elif len(positions) == 1:
+                # Basic indexing: a view, no row-gather copy.
+                i = positions[0]
+                out[i] = snapshot.sample_from_uniforms(uniforms[i], uniform)
+            else:
+                rows = snapshot.sample_from_uniforms(
+                    uniforms[positions], uniform
+                )
+                for i, row in zip(positions, rows):
+                    out[i] = row
         return out
 
     def sample_vertices(

@@ -17,6 +17,7 @@ from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.memory import DEFAULT_MEMORY_MODEL, MemoryModel
 from repro.core.snapshot import RNGLike, coerce_scalar_rng
+from repro.errors import ConfigurationError
 
 __all__ = [
     "DEFAULT_ETYPE",
@@ -25,6 +26,7 @@ __all__ = [
     "OpKind",
     "EdgeOp",
     "GraphStoreAPI",
+    "check_fanout",
 ]
 
 #: Edge type used when the graph is homogeneous.
@@ -52,6 +54,15 @@ class _UnavailableType(tuple):
 
 #: Per-source marker returned by degraded reads.
 UNAVAILABLE = _UnavailableType()
+
+
+def check_fanout(k: int) -> None:
+    """Reject a negative fan-out — the one argument check every store's
+    sampling entry points share, so no read path can answer it
+    differently (an empty row, a numpy shape error, ...)."""
+    if k < 0:
+        raise ConfigurationError(f"fanout must be >= 0, got {k}")
+
 
 #: ``slots=True`` (3.10+) removes the per-instance ``__dict__`` from the
 #: per-edge record types — millions of them are alive during a stream
@@ -254,27 +265,9 @@ class GraphStoreAPI(abc.ABC):
         Returns an empty list when ``src`` has no out-edges, matching the
         padding convention of the GNN sampler layer.  ``rng`` may be a
         ``random.Random``, a ``numpy.random.Generator``, an ``int`` seed,
-        or ``None``.
+        or ``None``.  Implementations reject ``k < 0`` with
+        :func:`check_fanout` before anything else.
         """
-
-    def sample_neighbors_uniform(
-        self,
-        src: int,
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> List[int]:
-        """Draw ``k`` *uniform* neighbor samples (with replacement).
-
-        Generic fallback over :meth:`neighbors`; stores with a native
-        uniform path (the samtree's count descent) override this.
-        """
-        ids = [dst for dst, _ in self.neighbors(src, etype)]
-        if not ids:
-            return []
-        rng = coerce_scalar_rng(rng) or random
-        n = len(ids)
-        return [ids[rng.randrange(n)] for _ in range(k)]
 
     def sample_neighbors_many(
         self,
@@ -282,42 +275,32 @@ class GraphStoreAPI(abc.ABC):
         k: int,
         rng: RNGLike = None,
         etype: int = DEFAULT_ETYPE,
+        *,
+        uniform: bool = False,
     ) -> List[Sequence[int]]:
-        """Batched weighted sampling: one row of ``k`` draws per source.
+        """Batched sampling: one row of ``k`` draws per source.
 
         This is the read path the operator layer
-        (:mod:`repro.gnn.samplers`) calls for whole frontiers.  The
-        generic fallback is a per-source loop; stores with a vectorized
-        read path (:class:`~repro.core.topology.DynamicGraphStore` via
-        its snapshot cache, the distributed client via one RPC per
+        (:mod:`repro.gnn.samplers`) calls for whole frontiers.  Draws
+        are weighted, or — with ``uniform=True`` — every neighbor is
+        equally likely.  The generic fallback is a per-source loop (the
+        uniform one draws over :meth:`neighbors`); stores with a
+        vectorized read path (:class:`~repro.core.topology.DynamicGraphStore`
+        via its snapshot cache, the distributed client via one RPC per
         shard) override it.  Rows may be lists **or** int64 arrays;
         sources without out-edges yield empty rows.
         """
+        check_fanout(k)
         rng = coerce_scalar_rng(rng)
-        return [self.sample_neighbors(s, k, rng, etype) for s in srcs]
-
-    def sample_neighbors_uniform_many(
-        self,
-        srcs: Sequence[int],
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> List[Sequence[int]]:
-        """Batched uniform sampling (see :meth:`sample_neighbors_many`)."""
-        rng = coerce_scalar_rng(rng)
-        return [self.sample_neighbors_uniform(s, k, rng, etype) for s in srcs]
-
-    def sample_neighbors_batch(
-        self,
-        srcs: Iterable[int],
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> List[List[int]]:
-        """Compatibility shim over :meth:`sample_neighbors_many` that
-        guarantees plain ``List[List[int]]`` rows."""
-        rows = self.sample_neighbors_many(list(srcs), k, rng, etype)
-        return [[int(v) for v in row] for row in rows]
+        if not uniform:
+            return [self.sample_neighbors(s, k, rng, etype) for s in srcs]
+        rng = rng or random
+        rows: List[Sequence[int]] = []
+        for s in srcs:
+            ids = [dst for dst, _ in self.neighbors(s, etype)]
+            n = len(ids)
+            rows.append([ids[rng.randrange(n)] for _ in range(k)] if n else [])
+        return rows
 
     # -- accounting -------------------------------------------------------
     @abc.abstractmethod

@@ -45,6 +45,7 @@ from repro.core.types import (
     GraphStoreAPI,
     OpKind,
     _UnavailableType,
+    check_fanout,
 )
 from repro.distributed.hotset import HotReplicaDirectory, HotSetTracker
 from repro.distributed.partition import Partitioner
@@ -665,24 +666,21 @@ class GraphClient(GraphStoreAPI):
         rng: RNGLike = None,
         etype: int = DEFAULT_ETYPE,
     ) -> List[int]:
-        if self.hot_tracker is not None:
-            self.hot_tracker.observe(int(src))
-        return self._read_shard(
-            self._route_read(src),
-            _SAMPLE_REQ_BYTES + k * _SAMPLE_RESP_BYTES,
-            lambda s: s.sample_neighbors_batch([src], k, rng, etype)[0],
-        )
+        row = self.sample_neighbors_many([src], k, rng, etype)[0]
+        return row if row is UNAVAILABLE else [int(v) for v in row]
 
-    def _sample_many_routed(
+    def sample_neighbors_many(
         self,
         srcs: Sequence[int],
         k: int,
-        rng: RNGLike,
-        etype: int,
-        endpoint: str,
+        rng: RNGLike = None,
+        etype: int = DEFAULT_ETYPE,
+        *,
+        uniform: bool = False,
     ) -> List[Sequence[int]]:
         """Group a frontier per owning shard, issue **one** RPC per shard
-        (not one per vertex), and merge rows back in input order.
+        (not one per vertex), and merge rows back in input order
+        (weighted draws, or uniform ones with ``uniform=True``).
 
         Each shard answers its whole sub-batch through the store's
         vectorized read path, so the per-message payload grows with the
@@ -696,11 +694,11 @@ class GraphClient(GraphStoreAPI):
         * duplicate in-flight sources are **coalesced** — each distinct
           source of the window is routed once and shipped once per
           shard; a shard whose sub-batch contains duplicates is asked
-          through the grouped endpoint (distinct sources +
-          multiplicities) and its expanded reply is fanned back out to
-          every original position.  Every occurrence still receives its
-          own independent draws (the server expands locally), so the
-          sampled distribution matches the uncoalesced path;
+          for distinct sources + multiplicities (``counts=``) and its
+          expanded reply is fanned back out to every original position.
+          Every occurrence still receives its own independent draws
+          (the server expands locally), so the sampled distribution
+          matches the uncoalesced path;
         * sources in the **hot-replica directory** rotate across their
           replica set (all copies are write-coherent);
         * the **hot tracker** observes every distinct source with its
@@ -708,6 +706,7 @@ class GraphClient(GraphStoreAPI):
         * per-RPC service time is accumulated per shard in
           :attr:`serving_stats` (the bench's modeled-makespan input).
         """
+        check_fanout(k)
         srcs = list(srcs)
         stats = self.serving_stats
         stats.batches += 1
@@ -728,9 +727,8 @@ class GraphClient(GraphStoreAPI):
             if tracker is not None:
                 tracker.observe(src, len(pos))
             per_shard[self._route_read(src)].append((src, pos))
-        uniform = endpoint == "sample_neighbors_uniform_many"
         with self._tspan(
-            f"client.{endpoint}",
+            "client.sample_neighbors_many",
             sources=len(srcs),
             k=k,
             shards=len(per_shard),
@@ -753,8 +751,8 @@ class GraphClient(GraphStoreAPI):
                     stats.coalesced_sources += rows - len(entries)
 
                     def fn(s, ss=shard_srcs, cc=counts):
-                        return s.sample_neighbors_grouped(
-                            ss, cc, k, rng, etype, uniform
+                        return s.sample_neighbors_many(
+                            ss, k, rng, etype, uniform=uniform, counts=cc
                         )
 
                 else:
@@ -767,7 +765,9 @@ class GraphClient(GraphStoreAPI):
                     )
 
                     def fn(s, ss=expanded):
-                        return getattr(s, endpoint)(ss, k, rng, etype)
+                        return s.sample_neighbors_many(
+                            ss, k, rng, etype, uniform=uniform
+                        )
 
                 stats.shard_rpcs += 1
                 started = time.perf_counter()
@@ -784,28 +784,6 @@ class GraphClient(GraphStoreAPI):
                 for i, res in zip(order, results):
                     out[i] = res
             return out
-
-    def sample_neighbors_many(
-        self,
-        srcs: Sequence[int],
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> List[Sequence[int]]:
-        return self._sample_many_routed(
-            srcs, k, rng, etype, "sample_neighbors_many"
-        )
-
-    def sample_neighbors_uniform_many(
-        self,
-        srcs: Sequence[int],
-        k: int,
-        rng: RNGLike = None,
-        etype: int = DEFAULT_ETYPE,
-    ) -> List[Sequence[int]]:
-        return self._sample_many_routed(
-            srcs, k, rng, etype, "sample_neighbors_uniform_many"
-        )
 
     # ------------------------------------------------------------------
     # attributes (vertex features live on the shard that owns the vertex)

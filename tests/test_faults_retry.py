@@ -254,7 +254,7 @@ class TestServerDurability:
         server.apply_ops([EdgeOp.insert(1, 2, 1.0)])
         server.ingest_batch(EdgeBatch.inserts([1], [3]))
         server.sample_neighbors_many([1], 2)
-        server.sample_neighbors_uniform_many([1], 2)
+        server.sample_neighbors_many([1], 2, uniform=True)
         server.neighbors_batch([1])
         server.degrees([1])
         server.edge_weights([(1, 2)])
@@ -429,7 +429,10 @@ class TestReplication:
         for src in range(40):
             assert cluster.client.degree(src) == 1
             assert cluster.client.edge_weight(src, src + 100) == pytest.approx(2.0)
-        rows = cluster.client.sample_neighbors_batch(list(range(40)), 3)
+        rows = [
+            [int(v) for v in row]
+            for row in cluster.client.sample_neighbors_many(list(range(40)), 3)
+        ]
         assert all(row == [s + 100] * 3 for s, row in enumerate(rows))
         assert cluster.client.num_edges == 40
 

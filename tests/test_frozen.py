@@ -260,8 +260,8 @@ class TestDistributionEquivalence:
         store.freeze()
         k = 20
         n_batches = self.DRAWS // k
-        rows = store.sample_neighbors_uniform_many(
-            [src] * n_batches, k, rng=42
+        rows = store.sample_neighbors_many(
+            [src] * n_batches, k, rng=42, uniform=True
         )
         expected = np.full(len(support), self.DRAWS / len(support))
         assert _chi2_pvalue(self._histogram(rows, support), expected) > 0.01

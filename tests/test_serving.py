@@ -125,16 +125,24 @@ class TestCoalescing:
         assert _chi2_pvalue(observed, expected) > 0.01
 
     def test_distribution_matches_uncoalesced_path(self):
-        weights = np.array([10.0, 5.0, 2.0, 2.0, 1.0])
-        expected = 200 * weights / weights.sum()
-        for coalesce in (False, True):
-            cluster = self._cluster(coalesce=coalesce)
-            rows = cluster.client.sample_neighbors_many(
-                [7, 8, 7] * 200, 1, np.random.default_rng(2)
-            )
-            counts = Counter(int(rows[i][0]) for i in range(0, 600, 3))
-            observed = [counts.get(100 + i, 0) for i in range(5)]
-            assert _chi2_pvalue(observed, expected) > 0.01, coalesce
+        skewed = np.array([10.0, 5.0, 2.0, 2.0, 1.0])
+        for uniform in (False, True):
+            weights = np.ones_like(skewed) if uniform else skewed
+            expected = 200 * weights / weights.sum()
+            for coalesce in (False, True):
+                cluster = self._cluster(coalesce=coalesce)
+                rows = cluster.client.sample_neighbors_many(
+                    [7, 8, 7] * 200,
+                    1,
+                    np.random.default_rng(2),
+                    uniform=uniform,
+                )
+                counts = Counter(int(rows[i][0]) for i in range(0, 600, 3))
+                observed = [counts.get(100 + i, 0) for i in range(5)]
+                assert _chi2_pvalue(observed, expected) > 0.01, (
+                    uniform,
+                    coalesce,
+                )
 
     def test_uncoalesced_window_has_no_grouped_rpcs(self):
         cluster = self._cluster(coalesce=False)

@@ -124,10 +124,10 @@ class TestTreeSnapshot:
         tree = _skewed_tree(30)
         snap = TreeSnapshot.from_tree(tree)
         valid = {v for v, _ in tree.items()}
-        out = snap.sample_matrix(4, 16, nprng)
+        out = snap.sample_from_uniforms(nprng.random((4, 16)))
         assert out.shape == (4, 16)
         assert set(out.reshape(-1).tolist()) <= valid
-        uni = snap.sample_uniform_matrix(4, 16, nprng)
+        uni = snap.sample_from_uniforms(nprng.random((4, 16)), uniform=True)
         assert set(uni.reshape(-1).tolist()) <= valid
 
     def test_zero_weight_neighbor_never_sampled(self, nprng):
@@ -145,14 +145,12 @@ class TestTreeSnapshot:
         with pytest.raises(EmptyStructureError):
             snap.sample(3, nprng)
         with pytest.raises(EmptyStructureError):
-            snap.sample_uniform_matrix(1, 3, nprng)
+            snap.sample_from_uniforms(nprng.random((1, 3)), uniform=True)
 
     def test_negative_shape_rejected(self, nprng):
         snap = TreeSnapshot.from_arrays([1], [1.0])
         with pytest.raises(ConfigurationError):
-            snap.sample_matrix(-1, 2, nprng)
-        with pytest.raises(ConfigurationError):
-            snap.sample_uniform_matrix(1, -2, nprng)
+            snap.sample(-2, nprng)
 
     def test_nbytes_uses_memory_model(self):
         snap = TreeSnapshot.from_arrays(range(10), [1.0] * 10)
@@ -210,7 +208,9 @@ class TestDistributionEquivalence:
         for dst in range(20, 28):
             store.add_edge(2, dst, float(dst))  # skewed weights, ignored
         n = 16_000
-        rows = store.sample_neighbors_uniform_many([2] * 16, n // 16, rng=9)
+        rows = store.sample_neighbors_many(
+            [2] * 16, n // 16, rng=9, uniform=True
+        )
         draws = [int(v) for row in rows for v in row]
         ids = list(range(20, 28))
         observed = self._frequencies(draws, ids)
@@ -338,7 +338,7 @@ class TestCacheInvalidation:
     def test_uniform_path_shares_coherence(self):
         store, cache = self._warm_store()
         store.remove_edge(7, 129)
-        rows = store.sample_neighbors_uniform_many([7] * 4, 64, rng=6)
+        rows = store.sample_neighbors_many([7] * 4, 64, rng=6, uniform=True)
         drawn = {int(v) for row in rows for v in row}
         assert 129 not in drawn
 

@@ -11,8 +11,13 @@ from hypothesis import strategies as st
 
 from repro.baselines.aligraph import AliGraphStore
 from repro.baselines.platogl import PlatoGLStore
+from repro.baselines.static_csr import StaticCSRStore
+from repro.core.metrics import InstrumentedStore
 from repro.core.samtree import SamtreeConfig
+from repro.core.temporal import TemporalGraphStore
 from repro.core.topology import DynamicGraphStore
+from repro.distributed import LocalCluster
+from repro.errors import ConfigurationError
 
 ops_st = st.lists(
     st.tuples(
@@ -93,3 +98,35 @@ def test_total_weights_agree(ops):
             assert sum(w for _, w in s.neighbors(src)) == pytest.approx(
                 expected, abs=1e-6
             )
+
+
+_SAMPLERS = {
+    "store_live": DynamicGraphStore,
+    "store_frozen": DynamicGraphStore,  # frozen once loaded, below
+    "temporal": lambda: TemporalGraphStore(window=100),
+    "instrumented": lambda: InstrumentedStore(DynamicGraphStore()),
+    "aligraph": AliGraphStore,
+    "static_csr": StaticCSRStore,
+    "platogl": PlatoGLStore,
+    "client": lambda: LocalCluster(num_servers=2).client,
+}
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+@pytest.mark.parametrize("name", sorted(_SAMPLERS))
+def test_negative_fanout_rejected_everywhere(name, uniform):
+    """``k < 0`` is a ConfigurationError on every store and read path —
+    never an empty row, a numpy shape error, or a silent no-op — for
+    present and absent sources alike."""
+    store = _SAMPLERS[name]()
+    store.add_edge(1, 10, 1.0)
+    store.add_edge(1, 11, 3.0)
+    if name == "store_frozen":
+        store.freeze()
+    with pytest.raises(ConfigurationError):
+        store.sample_neighbors_many([1, 1, 99], -1, rng=0, uniform=uniform)
+    for src in (1, 99):
+        with pytest.raises(ConfigurationError):
+            store.sample_neighbors(src, -1, 0)
+    rows = store.sample_neighbors_many([1, 99], 0, rng=0, uniform=uniform)
+    assert [len(row) for row in rows] == [0, 0]

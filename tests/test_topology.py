@@ -109,13 +109,18 @@ class TestSampling:
     def test_sample_uniform(self, store):
         store.add_edge(1, 10, 100.0)
         store.add_edge(1, 20, 0.1)
-        out = store.sample_neighbors_uniform(1, 4000, random.Random(1))
+        store.snapshot_cache = None  # exercise the exact count descent
+        out = list(
+            store.sample_neighbors_many(
+                [1], 4000, random.Random(1), uniform=True
+            )[0]
+        )
         assert out.count(10) / 4000 == pytest.approx(0.5, abs=0.03)
 
     def test_sample_batch_shape(self, store):
         for s in range(5):
             store.add_edge(s, 100 + s, 1.0)
-        rows = store.sample_neighbors_batch(range(5), 3, random.Random(2))
+        rows = store.sample_neighbors_many(range(5), 3, random.Random(2))
         assert [len(r) for r in rows] == [3] * 5
 
     def test_sample_vertices_degree_weighted(self, store):
